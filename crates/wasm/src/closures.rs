@@ -13,8 +13,7 @@
 //! stack, and memory stay in registers across steps, where the threaded
 //! dispatch loop pays an op fetch plus a table-indexed indirect call per
 //! op. Any other op lowers to a monomorphized boxed closure ([`Link`])
-//! that wraps its interpreter handler — the fallback step form, and the
-//! seam the `jit-x64` backend plugs into.
+//! that wraps its interpreter handler — the fallback step form.
 //!
 //! Control flow inside a chain uses baked **control words**: a step
 //! either falls through, or (guards, closure steps) yields the index of
@@ -32,11 +31,6 @@
 //! (SSE2 baseline; `i32x4.mul` picks `_mm_mullo_epi32` only when SSE4.1
 //! is detected at chain-build time) instead of the interpreter's
 //! two-slot scalar emulation.
-//!
-//! The `jit-x64` cargo feature is the seam for replacing chains with
-//! directly emitted machine code later: when enabled, [`compile_fn`]
-//! first offers every superblock to [`jit_x64::try_emit`] and only falls
-//! back to lowered chains for blocks it declines (the stub declines all).
 
 use crate::dispatch::{handler, ieval32, ieval64, rg, rg2, wr, wr2, Ctx, Handler};
 use crate::error::Trap;
@@ -646,11 +640,7 @@ pub(crate) fn compile_fn(f: &RegFunc) -> FnChains {
     let mut entry = vec![0u32; f.code.len()];
     let mut chains = Vec::with_capacity(blocks.len());
     for b in &blocks {
-        #[cfg(feature = "jit-x64")]
-        let chain = jit_x64::try_emit(f, b).unwrap_or_else(|| build_chain(f, b));
-        #[cfg(not(feature = "jit-x64"))]
-        let chain = build_chain(f, b);
-        chains.push(chain);
+        chains.push(build_chain(f, b));
         entry[b.head as usize] = chains.len() as u32;
     }
     FnChains { entry, chains }
@@ -1175,23 +1165,5 @@ mod tests {
         };
         let chains = super::compile_fn(&f.reg);
         assert!(chains.len() >= 1, "loop function should yield at least one superblock");
-    }
-}
-
-/// Seam for direct x86-64 machine-code emission: a future backend can
-/// return a [`Chain`] whose single [`Mo::Link`] step jumps into
-/// executable memory and reports its exit through the same `EXIT | ip`
-/// control word. The stub declines every block, so the feature only
-/// exercises the plumbing (kept compiling by a CI matrix leg).
-#[cfg(feature = "jit-x64")]
-pub(crate) mod jit_x64 {
-    use super::Chain;
-    use crate::regalloc::RegFunc;
-    use crate::superblock::Superblock;
-
-    /// Offer one superblock to the native emitter. `None` = fall back to
-    /// the lowered chain.
-    pub(crate) fn try_emit(_f: &RegFunc, _b: &Superblock) -> Option<Chain> {
-        None
     }
 }

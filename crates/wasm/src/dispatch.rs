@@ -7,10 +7,17 @@
 //! Every handler has the shape `fn(&mut Ctx, ip) -> Result<usize, Trap>`
 //! and returns the **next** instruction pointer (or [`DONE`] when the
 //! outermost frame returns). The central loop is deliberately tiny —
-//! fetch opcode byte, indirect call — so the compiler keeps `ip`, the
-//! code pointer and the frame base in registers across the call; handlers
-//! keep their tails tight (compute, one write, return `ip + 1`) for the
-//! same reason. Trapping paths return `Err` and unwind the Rust way.
+//! fetch opcode byte, indirect call — and handlers keep their tails tight
+//! (compute, one write, return `ip + 1`). Trapping paths return `Err` and
+//! unwind the Rust way.
+//!
+//! What the indirect call costs: nothing survives it in registers. In the
+//! release build every handler reloads `ctx.code`, `ctx.stack` and
+//! `ctx.base` through the `&mut Ctx`, repeats the `code[ip]` bounds check
+//! the loop already made, and returns its 32-byte `Result<usize, Trap>`
+//! through memory. Fewer register ops per guest operation therefore pay
+//! off directly, which is why [`crate::regalloc`] folds address
+//! arithmetic and bounds checks into the addressing and branch forms.
 //!
 //! # Frame arena
 //!

@@ -84,6 +84,23 @@ impl Cmp {
         self as u8
     }
 
+    /// The comparison that holds exactly when `self` does not.
+    pub fn negate(self) -> Cmp {
+        use Cmp::*;
+        match self {
+            Eq => Ne,
+            Ne => Eq,
+            LtS => GeS,
+            GeS => LtS,
+            LtU => GeU,
+            GeU => LtU,
+            GtS => LeS,
+            LeS => GtS,
+            GtU => LeU,
+            LeU => GtU,
+        }
+    }
+
     pub fn from_byte(b: u8) -> Option<Cmp> {
         Some(match b {
             0 => Cmp::Eq,

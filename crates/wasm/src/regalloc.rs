@@ -765,9 +765,11 @@ pub(crate) fn lower(module: &Module, func: &Function, ops: &[Op]) -> Result<RegF
     // forwarded constant turns Mul32 into ShlK32, which the addressing
     // pass folds into a scaled load, which leaves the Copy dead...).
     for _ in 0..3 {
-        let a = forward(&mut rf);
+        // Neither forwarding nor elimination adds or removes a branch.
+        let targets = jump_targets(&rf);
+        let a = forward(&mut rf, &hs, &targets);
         let b = eliminate(&mut rf, &hs);
-        let c = peephole(&mut rf, &mut hs);
+        let c = peephole(&mut rf, &mut hs, &targets);
         if !(a || b || c) {
             break;
         }
@@ -1522,11 +1524,19 @@ fn value_live(f: &RegFunc, hs: &[u32], def: usize, t: u32) -> bool {
 /// Copy/constant forwarding over straight-line regions: rewrites source
 /// registers to read through trivial copies (`local.get` residue) and
 /// folds known constants into immediate forms (`AddK32`, `ShlK32`,
-/// `Cmp32K`, `BrIfCmp32K`, multiply-by-power-of-two into shifts). State
-/// resets at jump targets and across calls. Returns true if changed.
-fn forward(f: &mut RegFunc) -> bool {
+/// `Cmp32K`, `BrIfCmp32K`, multiply-by-power-of-two into shifts).
+/// `And32` of the constant 1 with a 0/1 value becomes a copy of that
+/// value. A pure op that recomputes a value still intact in an earlier
+/// register has its readers forwarded there (the recomputation then dies
+/// in [`eliminate`]). State resets at jump targets and across calls.
+/// Returns true if changed.
+///
+/// Reads are only ever redirected to locals or to a lower stack
+/// temporary that the heights in `hs` keep live from its definition on:
+/// wherever the redirected register is live, so is its replacement,
+/// which keeps the heights-as-liveness oracle sound.
+fn forward(f: &mut RegFunc, hs: &[u32], targets: &[bool]) -> bool {
     use Rc::*;
-    let targets = jump_targets(f);
     #[derive(Clone, Copy, PartialEq)]
     enum Val {
         Opaque,
@@ -1534,15 +1544,39 @@ fn forward(f: &mut RegFunc) -> bool {
         /// generation matches).
         CopyOf(u32, u32),
         Const(u64),
+        /// Known to be 0 or 1 (a comparison result).
+        Bool,
     }
+    /// A pure op whose result still sits in its destination, with the
+    /// generations its sources `a`, `b` had when it read them and the one
+    /// its destination `c` got.
+    struct Expr {
+        op: RegOp,
+        gens: [u32; 3],
+    }
+    const MAX_EXPRS: usize = 8;
     let n = f.frame_size as usize;
+    let h0 = f.n_local_slots;
     let mut avail: Vec<Val> = vec![Val::Opaque; n];
     let mut gen: Vec<u32> = vec![0; n];
+    let mut exprs: Vec<Expr> = Vec::new();
+    // One past the highest register an `exprs` entry lives in.
+    let mut exprs_top = 0u32;
     let mut changed = false;
 
     for i in 0..f.code.len() {
         if targets[i] {
             avail.iter_mut().for_each(|v| *v = Val::Opaque);
+            exprs.clear();
+        }
+        // An expression is reusable only while its register stays live.
+        let live_top = match hs.get(i) {
+            Some(&h) if h != u32::MAX => h0.saturating_add(h),
+            _ => 0,
+        };
+        if live_top < exprs_top {
+            exprs.retain(|e| e.op.c < live_top);
+            exprs_top = exprs.iter().map(|e| e.op.c + 1).max().unwrap_or(0);
         }
         let op = &mut f.code[i];
         // 1. Forward one-slot source registers through known copies.
@@ -1618,7 +1652,7 @@ fn forward(f: &mut RegFunc) -> bool {
                 } else if op.a == op.c {
                     // Self-copy (a `local.set x; local.get x` round-trip
                     // whose set was forwarded): pure no-op.
-                    *op = rop(Nop, 0, 0, 0, 0, 0);
+                    *op = NOP;
                     changed = true;
                 }
             }
@@ -1725,6 +1759,17 @@ fn forward(f: &mut RegFunc) -> bool {
                     changed = true;
                 }
             }
+            And32 => {
+                let one = |r: u32| kconst(r, &avail) == Some(1);
+                let boolean = |r: u32| avail.get(r as usize) == Some(&Val::Bool);
+                if one(op.a) && boolean(op.b) {
+                    *op = rop(Copy, op.b, 0, op.c, 0, 0);
+                    changed = true;
+                } else if one(op.b) && boolean(op.a) {
+                    *op = rop(Copy, op.a, 0, op.c, 0, 0);
+                    changed = true;
+                }
+            }
             _ => {}
         }
         // 3. Update the value table for this op's writes.
@@ -1735,8 +1780,12 @@ fn forward(f: &mut RegFunc) -> bool {
                 avail[r as usize] = Val::Opaque;
             }
         };
+        let boolean = |r: u32, avail: &[Val]| {
+            matches!(avail.get(r as usize), Some(Val::Bool | Val::Const(0 | 1)))
+        };
         match op.code {
             Copy => {
+                let is_bool = boolean(op.a, &avail);
                 clobber(op.c, &mut avail, &mut gen);
                 // Record the aliasing only for LOCAL sources: forwarding a
                 // read to a stack temporary could create reads above the
@@ -1746,6 +1795,8 @@ fn forward(f: &mut RegFunc) -> bool {
                 // safe to introduce.
                 if op.a < f.n_local_slots && (op.a as usize) < n {
                     avail[op.c as usize] = Val::CopyOf(op.a, gen[op.a as usize]);
+                } else if is_bool && (op.c as usize) < n {
+                    avail[op.c as usize] = Val::Bool;
                 }
             }
             Const => {
@@ -1755,17 +1806,74 @@ fn forward(f: &mut RegFunc) -> bool {
             // Calls write an unknown-width result window; drop everything.
             CallGuest | CallHost | CallIndirect => {
                 avail.iter_mut().for_each(|v| *v = Val::Opaque);
+                exprs.clear();
             }
             _ => {
+                let is_bool = match op.code {
+                    Eqz32 | Eqz64 | Cmp32 | Cmp32K | Cmp64 | Cmp64K | CmpF32 | CmpF64 => true,
+                    And32 | Or32 | Xor32 => boolean(op.a, &avail) && boolean(op.b, &avail),
+                    _ => false,
+                };
+                // Source generations as the op read them.
+                let srcs = cse_sources(op.code);
+                let g = |r: u32| gen.get(r as usize).copied();
+                let read_gens = (g(op.a), if srcs == 2 { g(op.b) } else { Some(0) });
                 if let Some((s, w)) = writes(&op) {
                     for r in s..s + w {
                         clobber(r, &mut avail, &mut gen);
                     }
                 }
+                let c = op.c as usize;
+                if c >= n {
+                    continue;
+                }
+                if is_bool {
+                    avail[c] = Val::Bool;
+                }
+                let (Some(ga), Some(gb)) = read_gens else { continue };
+                if srcs == 0 {
+                    continue;
+                }
+                // The same op evaluated earlier, its result still intact in
+                // a local or a lower temporary: read that instead.
+                if op.c >= h0 {
+                    let earlier = exprs.iter().find(|e| {
+                        let r = e.op.c;
+                        RegOp { c: op.c, ..e.op } == op
+                            && e.gens == [ga, gb, gen[r as usize]]
+                            && (r < h0 || r < op.c)
+                    });
+                    if let Some(e) = earlier {
+                        avail[c] = Val::CopyOf(e.op.c, e.gens[2]);
+                        continue;
+                    }
+                }
+                // An op that overwrote its own source can never match.
+                if op.a != op.c && (srcs == 1 || op.b != op.c) {
+                    if exprs.len() == MAX_EXPRS {
+                        exprs.remove(0);
+                    }
+                    exprs.push(Expr { op, gens: [ga, gb, gen[c]] });
+                    exprs_top = exprs_top.max(op.c + 1);
+                }
             }
         }
     }
     changed
+}
+
+/// Register sources of a pure op [`forward`] may reuse an earlier
+/// evaluation of: 1 = `a` only, 2 = `a` and `b`, 0 = not reusable.
+/// Immediates (`b` of the `*K` forms, `aux`, `imm`) are part of the match.
+fn cse_sources(code: Rc) -> u8 {
+    use Rc::*;
+    match code {
+        AddK32 | ShlK32 | Cmp32K | AddK64 | Cmp64K | Eqz32 | Eqz64 | Wrap64 | ExtS3264
+        | ExtU3264 => 1,
+        Add32 | Sub32 | Mul32 | And32 | Or32 | Xor32 | Shl32 | ShrS32 | ShrU32 | Cmp32
+        | AddShl32 | Add64 | Sub64 | Mul64 | And64 | Or64 | Xor64 | Cmp64 => 2,
+        _ => 0,
+    }
 }
 
 /// Remove pure ops whose (one-slot, stack-temporary) result is dead per
@@ -1783,22 +1891,30 @@ fn eliminate(f: &mut RegFunc, hs: &[u32]) -> bool {
             continue;
         }
         if !value_live(f, hs, i, t) {
-            f.code[i] = rop(Rc::Nop, 0, 0, 0, 0, 0);
+            f.code[i] = NOP;
             changed = true;
         }
     }
     changed
 }
 
-/// Fuse addressing patterns the serializable IR cannot express:
+/// Register peephole: the rewrites the serializable IR cannot express.
+/// Each rule keys on op shapes and the heights-based liveness only.
 ///
+/// * **Copy sinking**: `[op → t] … [Copy t → x]` becomes `[op → x]` when
+///   `t` dies at the copy — every `local.set` of a computed value.
+/// * **Address folding** ([`fold_address`]): the producers of a load's or
+///   scaled store's address fold into its addressing form, so
+///   `AddK32(x, k) → ShlK32(s) → AddK32(B) → Load64` becomes one
+///   `Load64ShlK` with bias `B + (k << s)` (exact in wrapping i32
+///   arithmetic), and `AddShl32 → Load` a scaled load.
+/// * **Range checks** ([`fold_range_check`]): `(t ≥s 0) & (t <s N)` with a
+///   constant `N ≥ 0` becomes one `t <u N`.
+/// * **Branch splitting** ([`split_branch`]): `BrIfZ` of an `And32` tree
+///   of comparisons becomes one compare-and-branch per leaf.
 /// * `[ShlK32 → t][Add32 base + t → d]` → `AddShl32` (the scaled-index
 ///   address form, reconstructed after constant forwarding turned the
 ///   guest's multiply into a shift).
-/// * `[AddShl32 → t][load addr=t]` → scaled load — covers the i64/f32
-///   scaled-index loads the Op-level peephole has no form for (all
-///   widths share `Load32Shl`/`Load64Shl`).
-/// * `[ShlK32 → t][load addr=t]` → constant-base scaled load.
 /// * `[AddShl32 → t] …value ops… [store addr=t]` → scaled store: the
 ///   classic `a[i] = expr` window where the value computation separates
 ///   the address from the store.
@@ -1816,31 +1932,20 @@ fn eliminate(f: &mut RegFunc, hs: &[u32]) -> bool {
 /// therefore raises `hs` over `(i, k]` to the fusion head's entry height
 /// (`u32::MAX` propagates as "unknown" via `max`), keeping the oracle
 /// sound.
-fn peephole(f: &mut RegFunc, hs: &mut [u32]) -> bool {
+fn peephole(f: &mut RegFunc, hs: &mut [u32], targets: &[bool]) -> bool {
     use Rc::*;
-    let targets = jump_targets(f);
     let max_gap = 12usize;
     let mut changed = false;
     for i in 0..f.code.len() {
-        // Sink a one-slot result straight into the register the following
-        // Copy moves it to: `[op → t][Copy t → x]` becomes `[op → x]`
-        // when the temp dies there — every `local.set` of a computed
-        // value. (`Select` writes `a`, `Fma64` reads its destination;
-        // both are excluded.)
-        if i + 1 < f.code.len() && !targets[i + 1] {
-            let nx = f.code[i + 1];
-            if nx.code == Copy
-                && nx.a != nx.c
-                && nx.a >= f.n_local_slots
-                && f.code[i].c == nx.a
-                && writes(&f.code[i]) == Some((nx.a, 1))
-                && !matches!(f.code[i].code, Select | Fma64 | Nop)
-                && !value_live(f, hs, i + 1, nx.a)
-            {
-                f.code[i].c = nx.c;
-                f.code[i + 1] = rop(Nop, 0, 0, 0, 0, 0);
-                changed = true;
-            }
+        changed |= match f.code[i].code {
+            And32 => fold_range_check(f, hs, targets, i),
+            BrIfZ => split_branch(f, hs, targets, i),
+            Copy => false,
+            _ => fold_address(f, hs, targets, i),
+        };
+        // After the rules above: a range check may leave a copy to sink.
+        if f.code[i].code == Copy {
+            changed |= sink_copy(f, hs, targets, i);
         }
         let (t, fused_addr) = match f.code[i].code {
             AddShl32 => (f.code[i].c, true),
@@ -1858,47 +1963,12 @@ fn peephole(f: &mut RegFunc, hs: &mut [u32]) -> bool {
             if !fused_addr && nx.code == Add32 && (nx.a == t) != (nx.b == t) {
                 let base = if nx.a == t { nx.b } else { nx.a };
                 if base != t && !value_live(f, hs, i + 1, t) {
-                    f.code[i] = rop(Nop, 0, 0, 0, 0, 0);
+                    f.code[i] = NOP;
                     f.code[i + 1] = rop(AddShl32, addr.a, base, nx.c, addr.aux, 0);
-                    hs[i + 1] = hs[i + 1].max(hs[i]);
+                    raise(hs, i, i + 1, hs[i]);
                     changed = true;
                     continue;
                 }
-            }
-            // Adjacent load: address produced then immediately consumed.
-            let (is_load, wide_bias) = match nx.code {
-                Load32 | Load64 => (true, (nx.imm >> 32) as u32),
-                _ => (false, 0),
-            };
-            if is_load && nx.a == t && (nx.c == t || !value_live(f, hs, i + 1, t)) {
-                let offset = nx.imm as u32 as u64;
-                let fused = if fused_addr {
-                    if wide_bias != 0 {
-                        continue; // bias not representable in the Shl form
-                    }
-                    rop(
-                        if nx.code == Load64 { Load64Shl } else { Load32Shl },
-                        addr.a,
-                        addr.b,
-                        nx.c,
-                        addr.aux,
-                        offset,
-                    )
-                } else {
-                    rop(
-                        if nx.code == Load64 { Load64ShlK } else { Load32ShlK },
-                        addr.a,
-                        0,
-                        nx.c,
-                        addr.aux,
-                        offset | (wide_bias as u64) << 32,
-                    )
-                };
-                f.code[i] = rop(Nop, 0, 0, 0, 0, 0);
-                f.code[i + 1] = fused;
-                hs[i + 1] = hs[i + 1].max(hs[i]);
-                changed = true;
-                continue;
             }
         }
         // Store window: [addr → t] (+ AddK for the ShlK form) then value
@@ -1940,9 +2010,8 @@ fn peephole(f: &mut RegFunc, hs: &mut [u32]) -> bool {
                 found = Some(j);
                 break;
             }
-            let writes_hit = |g: u32| writes(&op).is_some_and(|(s, w)| s <= g && g < s + w);
-            if addr_srcs.iter().any(|&g| writes_hit(g))
-                || temps.iter().any(|&g| writes_hit(g) || reads_reg(&op, f, g))
+            if addr_srcs.iter().any(|&g| writes_to(&op, g))
+                || temps.iter().any(|&g| writes_to(&op, g) || reads_reg(&op, f, g))
             {
                 break;
             }
@@ -1974,18 +2043,320 @@ fn peephole(f: &mut RegFunc, hs: &mut [u32]) -> bool {
                 offset | (bias as u64) << 32,
             )
         };
-        f.code[i] = rop(Nop, 0, 0, 0, 0, 0);
+        f.code[i] = NOP;
         if !fused_addr {
-            f.code[i + 1] = rop(Nop, 0, 0, 0, 0, 0);
+            f.code[i + 1] = NOP;
         }
         f.code[sj] = fused;
-        let hs_i = hs[i];
-        for h in &mut hs[i + 1..=sj] {
-            *h = (*h).max(hs_i);
-        }
+        raise(hs, i, sj, hs[i]);
         changed = true;
     }
     changed
+}
+
+const NOP: RegOp = RegOp { imm: 0, a: 0, b: 0, c: 0, code: Rc::Nop, aux: 0 };
+
+/// How far [`def_before`] looks back.
+const DEF_WINDOW: usize = 16;
+
+/// True if `op` writes register `r` (possibly: `Select` counts).
+fn writes_to(op: &RegOp, r: u32) -> bool {
+    writes(op).is_some_and(|(s, w)| s <= r && r < s + w)
+}
+
+/// The op that last wrote register `r` before position `at`, if it lies in
+/// the same straight-line stretch: `None` when the backward search meets
+/// a jump target, a control op or call, a conditional or multi-slot write
+/// of `r`, or the end of its window.
+fn def_before(f: &RegFunc, targets: &[bool], at: usize, r: u32) -> Option<usize> {
+    let mut j = at;
+    for _ in 0..DEF_WINDOW {
+        if targets[j] || j == 0 {
+            return None;
+        }
+        j -= 1;
+        let op = &f.code[j];
+        if !window_safe(op) {
+            return None;
+        }
+        if writes_to(op, r) {
+            let single = writes(op) == Some((r, 1)) && op.code != Rc::Select;
+            return single.then_some(j);
+        }
+    }
+    None
+}
+
+/// True if an op strictly between `lo` and `hi` reads register `r`.
+fn read_between(f: &RegFunc, lo: usize, hi: usize, r: u32) -> bool {
+    f.code[lo + 1..hi].iter().any(|op| reads_reg(op, f, r))
+}
+
+/// True if an op in `lo..hi` writes register `r`.
+fn written_in(f: &RegFunc, lo: usize, hi: usize, r: u32) -> bool {
+    f.code[lo..hi].iter().any(|op| writes_to(op, r))
+}
+
+/// Raise the entry heights over `(lo, hi]` to at least `h`.
+fn raise(hs: &mut [u32], lo: usize, hi: usize, h: u32) {
+    for x in &mut hs[lo + 1..=hi] {
+        *x = (*x).max(h);
+    }
+}
+
+/// Make the op at `d` write its one-slot result straight to `to` instead
+/// of to `t`, the register the op at `p` consumes it from. Requires that
+/// nothing in between reads `t` or touches `to`, and that `t` dies at `p`.
+fn retarget(f: &mut RegFunc, hs: &mut [u32], d: usize, p: usize, to: u32) -> bool {
+    let op = f.code[d];
+    let t = op.c;
+    if writes(&op) != Some((t, 1))
+        || matches!(op.code, Rc::Select | Rc::Fma64)
+        || read_between(f, d, p, t)
+        || value_live(f, hs, p, t)
+        || read_between(f, d, p, to)
+        || written_in(f, d + 1, p, to)
+    {
+        return false;
+    }
+    f.code[d].c = to;
+    // `to` now holds a value over (d, p]: keep the oracle from calling it
+    // dead there.
+    if to >= f.n_local_slots {
+        raise(hs, d, p, to - f.n_local_slots + 1);
+    }
+    true
+}
+
+/// `[op → t] … [Copy t → x]` → `[op → x]` when `t` dies at the copy
+/// (`Select` writes `a` and `Fma64` reads its destination; both stay).
+fn sink_copy(f: &mut RegFunc, hs: &mut [u32], targets: &[bool], p: usize) -> bool {
+    let cp = f.code[p];
+    if cp.code != Rc::Copy || cp.a == cp.c || cp.a < f.n_local_slots {
+        return false;
+    }
+    match def_before(f, targets, p, cp.a) {
+        Some(d) if retarget(f, hs, d, p, cp.c) => {
+            f.code[p] = NOP;
+            true
+        }
+        _ => false,
+    }
+}
+
+fn plain_load(code: Rc) -> bool {
+    use Rc::*;
+    matches!(
+        code,
+        Load32
+            | Load64
+            | Load8S32
+            | Load8U32
+            | Load16S32
+            | Load16U32
+            | Load8S64
+            | Load8U64
+            | Load16S64
+            | Load16U64
+            | Load32S64
+            | Load32U64
+    )
+}
+
+/// Fold the ops producing the address of the load or constant-base
+/// scaled store at `i` into its addressing form, one producer at a time:
+///
+/// * `AddK32(x, k)` into a plain load's bias: `wrap(wrap(x + k) + B)` is
+///   `wrap(x + (k + B))`;
+/// * `AddK32(x, k)` into a `*ShlK` form's bias: `((x + k) << s) + B` is
+///   `(x << s) + (B + (k << s))` in wrapping i32 arithmetic;
+/// * `ShlK32(x, s)` into `Load32`/`Load64` → `Load*ShlK`;
+/// * `AddShl32(x, base, s)` into an unbiased `Load32`/`Load64` →
+///   `Load*Shl`.
+///
+/// The address temporary must die at `i`, and the producer's sources must
+/// still hold their values there.
+fn fold_address(f: &mut RegFunc, hs: &mut [u32], targets: &[bool], i: usize) -> bool {
+    use Rc::*;
+    let mut changed = false;
+    loop {
+        let op = f.code[i];
+        let store = matches!(op.code, Store32ShlK | Store64ShlK);
+        if !(plain_load(op.code) || store || matches!(op.code, Load32ShlK | Load64ShlK)) {
+            return changed;
+        }
+        let t = op.a;
+        if t < f.n_local_slots || (store && op.b == t) {
+            return changed;
+        }
+        let Some(d) = def_before(f, targets, i, t) else { return changed };
+        let p = f.code[d];
+        let offset = op.imm as u32 as u64;
+        let bias = (op.imm >> 32) as u32;
+        let biased = |b: u32| RegOp { a: p.a, imm: offset | (b as u64) << 32, ..op };
+        let wide = op.code == Load64;
+        let fused = match (p.code, op.code) {
+            (AddK32, _) if plain_load(op.code) => biased(bias.wrapping_add(p.b)),
+            (AddK32, _) => biased(bias.wrapping_add(p.b.wrapping_shl(op.aux as u32))),
+            (ShlK32, Load32 | Load64) => {
+                rop(if wide { Load64ShlK } else { Load32ShlK }, p.a, 0, op.c, p.aux, op.imm)
+            }
+            (AddShl32, Load32 | Load64) if bias == 0 => {
+                rop(if wide { Load64Shl } else { Load32Shl }, p.a, p.b, op.c, p.aux, offset)
+            }
+            _ => return changed,
+        };
+        let dies = (!store && op.c == t) || !value_live(f, hs, i, t);
+        let srcs = [p.a, if p.code == AddShl32 { p.b } else { p.a }];
+        if !dies || read_between(f, d, i, t) || srcs.iter().any(|&s| written_in(f, d + 1, i, s)) {
+            return changed;
+        }
+        f.code[d] = NOP;
+        f.code[i] = fused;
+        raise(hs, d, i, hs[d]);
+        changed = true;
+    }
+}
+
+/// Do register `re` at position `e` and register `rl` at position `l > e`
+/// hold the same value? `(e, l]` must hold no jump target. True when it
+/// is one register not written in between, or two evaluations of the
+/// same pure op over sources not written in between.
+fn same_value(f: &RegFunc, targets: &[bool], e: usize, re: u32, l: usize, rl: u32) -> bool {
+    if re == rl && !written_in(f, e, l, re) {
+        return true;
+    }
+    let (Some(de), Some(dl)) = (def_before(f, targets, e, re), def_before(f, targets, l, rl))
+    else {
+        return false;
+    };
+    let (x, y) = (f.code[de], f.code[dl]);
+    let (lo, hi) = (de.min(dl), de.max(dl));
+    de == dl
+        || (matches!(x.code, Rc::AddK32 | Rc::ShlK32)
+            && RegOp { c: y.c, ..x } == y
+            && !written_in(f, lo, hi, x.a)
+            && (lo..hi).all(|j| !targets[j + 1]))
+}
+
+/// `And32(t ≥s 0, t <s N)` with a constant `N ≥ 0` → `Cmp32K t <u N`: a
+/// negative `t` is at least 2³¹ unsigned, so one unsigned compare decides
+/// both bounds. (For `N < 0` the conjunction is always false but `t <u N`
+/// is not, so it does not fuse.) The first compare is rewritten in place,
+/// the second and the `And32` go; both compare results must feed only the
+/// `And32`.
+fn fold_range_check(f: &mut RegFunc, hs: &[u32], targets: &[bool], p: usize) -> bool {
+    use Rc::*;
+    const LTS: u8 = Cmp::LtS as u8;
+    const GES: u8 = Cmp::GeS as u8;
+    let and = f.code[p];
+    if and.code != And32 || and.a == and.b {
+        return false;
+    }
+    // Look up the nearer operand (`b`, computed last) first: most `And32`s
+    // are not range checks, and that settles it in one step.
+    let half = |q: Option<usize>| {
+        q.filter(|&q| {
+            let c = f.code[q];
+            c.code == Cmp32K && (c.aux == LTS || (c.aux == GES && c.b == 0))
+        })
+    };
+    let Some(qb) = half(def_before(f, targets, p, and.b)) else { return false };
+    let Some(qa) = half(def_before(f, targets, p, and.a)) else { return false };
+    let (e, l) = (qa.min(qb), qa.max(qb));
+    let (ce, cl) = (f.code[e], f.code[l]);
+    let n = match (ce.aux, ce.b as i32, cl.aux, cl.b as i32) {
+        (GES, 0, LTS, n) | (LTS, n, GES, 0) if n >= 0 => n,
+        _ => return false,
+    };
+    let feeds_only_and =
+        |q: usize, r: u32| !read_between(f, q, p, r) && (r == and.c || !value_live(f, hs, p, r));
+    if !same_value(f, targets, e, ce.a, l, cl.a)
+        || !feeds_only_and(e, ce.c)
+        || !feeds_only_and(l, cl.c)
+    {
+        return false;
+    }
+    f.code[e] = rop(Cmp32K, ce.a, n as u32, ce.c, Cmp::LtU as u8, 0);
+    f.code[l] = NOP;
+    f.code[p] = if ce.c == and.c { NOP } else { rop(Copy, ce.c, 0, and.c, 0, 0) };
+    true
+}
+
+/// `[Cmp … → t]` … `[BrIfZ t → T]` where `t` is an `And32` tree of
+/// comparisons → one compare-and-branch to `T` per leaf, taken when that
+/// leaf is false (the negated comparison). Branching early skips the rest
+/// of the window from the first leaf to the `BrIfZ`, so that window must
+/// be pure (no trap, no memory or global write), contain no jump target,
+/// and write only registers dead at `T`; every tree value must feed only
+/// its parent. Branches that carry values (`imm != 0`) do not split.
+fn split_branch(f: &mut RegFunc, hs: &mut [u32], targets: &[bool], z: usize) -> bool {
+    use Rc::*;
+    const MAX_NODES: usize = 15; // at most 8 leaves
+    const MAX_WINDOW: usize = 64;
+    let br = f.code[z];
+    if br.code != BrIfZ || br.imm != 0 {
+        return false;
+    }
+    // Registers from `dead` up are dead at the branch target.
+    let dead = match hs.get(br.c as usize) {
+        Some(&h) if h != u32::MAX => f.n_local_slots.saturating_add(h),
+        _ => return false,
+    };
+    // One backward scan from the branch finds the tree: `wanted` holds the
+    // (register, consumer) pairs whose definition is still ahead, and the
+    // scan ends at the first leaf. Everything it passes may be skipped by
+    // an early exit.
+    let mut wanted = vec![(br.a, z)];
+    let mut tree = Vec::with_capacity(MAX_NODES); // (definition, register, consumer)
+    let mut j = z;
+    while !wanted.is_empty() {
+        if targets[j] || j == 0 || z - j >= MAX_WINDOW {
+            return false;
+        }
+        j -= 1;
+        let op = f.code[j];
+        if op.code == Nop {
+            continue;
+        }
+        if !is_pure(op.code) || writes(&op).is_some_and(|(s, _)| s < dead) {
+            return false;
+        }
+        let Some(w) = wanted.iter().position(|&(r, _)| writes_to(&op, r)) else { continue };
+        let (r, u) = wanted.swap_remove(w);
+        match op.code {
+            And32 if op.a != op.b && tree.len() + 2 < MAX_NODES => {
+                wanted.push((op.a, j));
+                wanted.push((op.b, j));
+            }
+            Cmp32 | Cmp32K if Cmp::from_byte(op.aux).is_some() => {}
+            _ => return false,
+        }
+        tree.push((j, r, u));
+    }
+    let start = j;
+    // Each value feeds only its consumer.
+    for &(d, r, u) in &tree {
+        let dies = (u != z && f.code[u].c == r) || !value_live(f, hs, u, r);
+        if !dies || read_between(f, d, u, r) {
+            return false;
+        }
+    }
+    // Each leaf branch makes what is live at the target live back to it.
+    let th = hs[br.c as usize];
+    for h in &mut hs[start..=z] {
+        *h = (*h).max(th);
+    }
+    for &(d, _, _) in &tree {
+        let c = f.code[d];
+        f.code[d] = match (c.code, Cmp::from_byte(c.aux)) {
+            (Cmp32K, Some(cmp)) => rop(BrIfCmp32K, c.a, c.b, br.c, cmp.negate().to_byte(), 0),
+            (Cmp32, Some(cmp)) => rop(BrIfCmp32, c.a, c.b, br.c, cmp.negate().to_byte(), 0),
+            _ => NOP,
+        };
+    }
+    f.code[z] = NOP;
+    true
 }
 
 /// Op indices that are jump targets (fusion windows must not span them).
@@ -2014,7 +2385,9 @@ fn jump_targets(f: &RegFunc) -> Vec<bool> {
 }
 
 /// Remove `Nop`s, remapping branch targets (including the dest pool) and
-/// keeping the per-op entry-height array index-aligned.
+/// keeping the per-op entry-height array index-aligned. A `Nop` has no
+/// effect, so the op that absorbs a run of them has the same liveness as
+/// each of them and takes the lowest of their heights.
 fn compact(f: &mut RegFunc, hs: &mut Vec<u32>) {
     use Rc::*;
     if !f.code.iter().any(|op| op.code == Nop) {
@@ -2030,23 +2403,27 @@ fn compact(f: &mut RegFunc, hs: &mut Vec<u32>) {
     }
     new_index[f.code.len()] = count;
     let remap = |t: u32| new_index.get(t as usize).copied().unwrap_or(count);
-    let mut out = Vec::with_capacity(count as usize);
-    let mut out_h = Vec::with_capacity(count as usize);
-    for (i, op) in f.code.iter().enumerate() {
-        let mut op = *op;
+    hs.resize(f.code.len(), u32::MAX);
+    let mut run_h = u32::MAX;
+    let mut kept = 0;
+    for i in 0..f.code.len() {
+        let mut op = f.code[i];
+        run_h = run_h.min(hs[i]);
         match op.code {
             Nop => continue,
             Jump | Br | BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => op.c = remap(op.c),
             _ => {}
         }
-        out.push(op);
-        out_h.push(hs.get(i).copied().unwrap_or(u32::MAX));
+        f.code[kept] = op;
+        hs[kept] = run_h;
+        run_h = u32::MAX;
+        kept += 1;
     }
+    f.code.truncate(kept);
+    hs.truncate(kept);
     for d in &mut f.dest_pool {
         d.target = remap(d.target);
     }
-    f.code = out;
-    *hs = out_h;
 }
 
 /// Prove the register stream safe for the executor's unchecked frame
@@ -2534,6 +2911,232 @@ mod tests {
             "{:?}",
             rf.code
         );
+    }
+
+    #[test]
+    fn indexed_load_address_folds_into_one_op() {
+        // load(((v - 3) << 3) + 4096): the offset, shift and base collapse
+        // into one Load64ShlK with bias 4096 + (-3 << 3).
+        use crate::instr::Instr as I;
+        let rf = reg_of(
+            |f| {
+                f.emit_all([
+                    I::LocalGet(0),
+                    I::I32Const(-3),
+                    I::I32Add,
+                    I::I32Const(3),
+                    I::I32Shl,
+                    I::I32Const(4096),
+                    I::I32Add,
+                    I::F64Load(MemArg::offset(8)),
+                    I::Drop,
+                ]);
+            },
+            Tier::Max,
+        );
+        let ld: Vec<_> = rf.code.iter().filter(|op| op.code == Rc::Load64ShlK).collect();
+        assert_eq!(ld.len(), 1, "{:?}", rf.code);
+        assert_eq!((ld[0].a, ld[0].aux), (0, 3));
+        assert_eq!(ld[0].imm, 8 | ((4096 - 24) as u64) << 32);
+        assert_eq!(count(&rf, Rc::AddK32) + count(&rf, Rc::ShlK32), 0, "{:?}", rf.code);
+    }
+
+    #[test]
+    fn live_address_temp_blocks_fold() {
+        // [t = v + 8][u = load(t)][x = t + u]: t is still read after the
+        // load, so the AddK32 must stay. Without that read it folds.
+        let build = |last: RegOp| RegFunc {
+            code: vec![
+                rop(Rc::AddK32, 0, 8, 2, 0, 0),
+                rop(Rc::Load32, 2, 0, 3, 0, 0),
+                last,
+                rop(Rc::Return, 0, 0, 0, 0, 0),
+            ],
+            frame_size: 4,
+            n_local_slots: 2,
+            param_slots: 1,
+            ..Default::default()
+        };
+        let targets = [false; 5];
+        let mut rf = build(rop(Rc::Add32, 2, 3, 1, 0, 0));
+        assert!(!peephole(&mut rf, &mut [0, 1, 2, 0], &targets));
+        assert_eq!(rf.code[0].code, Rc::AddK32);
+        let mut rf = build(rop(Rc::Copy, 3, 0, 1, 0, 0));
+        assert!(peephole(&mut rf, &mut [0, 1, 1, 0], &targets));
+        assert_eq!(rf.code[1], rop(Rc::Load32, 0, 0, 1, 0, 8 << 32), "{:?}", rf.code);
+    }
+
+    /// `x = (v - 1 >= 0) & (v - 1 < n)` into local 1.
+    fn range_check(n: i32) -> RegFunc {
+        use crate::instr::Instr as I;
+        reg_of(
+            |f| {
+                f.emit_all([
+                    I::LocalGet(0),
+                    I::I32Const(-1),
+                    I::I32Add,
+                    I::I32Const(0),
+                    I::I32GeS,
+                    I::LocalGet(0),
+                    I::I32Const(-1),
+                    I::I32Add,
+                    I::I32Const(n),
+                    I::I32LtS,
+                    I::I32And,
+                    I::LocalSet(1),
+                ]);
+            },
+            Tier::Max,
+        )
+    }
+
+    #[test]
+    fn range_check_folds_to_one_unsigned_compare() {
+        let rf = range_check(16);
+        let cmp: Vec<_> = rf.code.iter().filter(|op| op.code == Rc::Cmp32K).collect();
+        assert_eq!(cmp.len(), 1, "{:?}", rf.code);
+        assert_eq!((cmp[0].b, cmp[0].aux, cmp[0].c), (16, Cmp::LtU as u8, 1));
+        assert_eq!(count(&rf, Rc::And32), 0, "{:?}", rf.code);
+        assert_eq!(count(&rf, Rc::AddK32), 1, "{:?}", rf.code);
+    }
+
+    #[test]
+    fn range_check_with_negative_bound_does_not_fuse() {
+        // (t >= 0) & (t < -5) is always 0, but t <u -5 is not.
+        let rf = range_check(-5);
+        assert_eq!(count(&rf, Rc::And32), 1, "{:?}", rf.code);
+        assert!(rf.code.iter().all(|op| op.aux != Cmp::LtU as u8), "{:?}", rf.code);
+    }
+
+    #[test]
+    fn and_with_one_of_a_boolean_is_the_boolean() {
+        // x = 1 & (v < w) is just the comparison; 1 & v is not.
+        use crate::instr::Instr as I;
+        let rf = reg_of(
+            |f| {
+                f.emit_all([
+                    I::I32Const(1),
+                    I::LocalGet(0),
+                    I::LocalGet(1),
+                    I::I32LtS,
+                    I::I32And,
+                    I::LocalSet(1),
+                ]);
+            },
+            Tier::Max,
+        );
+        assert_eq!(count(&rf, Rc::And32) + count(&rf, Rc::Const), 0, "{:?}", rf.code);
+        assert_eq!(count(&rf, Rc::Cmp32), 1, "{:?}", rf.code);
+        let rf = reg_of(
+            |f| {
+                f.emit_all([I::I32Const(1), I::LocalGet(0), I::I32And, I::LocalSet(1)]);
+            },
+            Tier::Max,
+        );
+        assert_eq!(count(&rf, Rc::And32), 1, "{:?}", rf.code);
+    }
+
+    /// `if (v < w) & (second) { mem[0] = v }`.
+    fn guarded_store(second: Vec<crate::instr::Instr>) -> RegFunc {
+        use crate::instr::Instr as I;
+        use crate::types::BlockType;
+        reg_of(
+            |f| {
+                f.emit_all([I::LocalGet(0), I::LocalGet(1), I::I32LtS]);
+                f.emit_all(second.clone());
+                f.emit_all([
+                    I::I32And,
+                    I::If(BlockType::Empty),
+                    I::I32Const(0),
+                    I::LocalGet(0),
+                    I::I32Store(MemArg::offset(0)),
+                    I::End,
+                ]);
+            },
+            Tier::Max,
+        )
+    }
+
+    #[test]
+    fn and_tree_branch_splits_per_leaf() {
+        use crate::instr::Instr as I;
+        let rf = guarded_store(vec![I::LocalGet(0), I::I32Const(5), I::I32GeS]);
+        assert_eq!(count(&rf, Rc::BrIfZ) + count(&rf, Rc::And32), 0, "{:?}", rf.code);
+        let br: Vec<_> = rf
+            .code
+            .iter()
+            .filter(|op| matches!(op.code, Rc::BrIfCmp32 | Rc::BrIfCmp32K))
+            .map(|op| (op.code, op.aux))
+            .collect();
+        assert_eq!(
+            br,
+            [(Rc::BrIfCmp32, Cmp::GeS as u8), (Rc::BrIfCmp32K, Cmp::LtS as u8)],
+            "{:?}",
+            rf.code
+        );
+        // Both leaves branch to the same join.
+        let targets: Vec<u32> = rf
+            .code
+            .iter()
+            .filter(|op| matches!(op.code, Rc::BrIfCmp32 | Rc::BrIfCmp32K))
+            .map(|op| op.c)
+            .collect();
+        assert!(targets.windows(2).all(|w| w[0] == w[1]), "{:?}", rf.code);
+    }
+
+    #[test]
+    fn trapping_load_in_window_blocks_branch_split() {
+        // The load after the first leaf could trap: branching past it
+        // when v >= w would hide that trap.
+        use crate::instr::Instr as I;
+        let rf = guarded_store(vec![
+            I::LocalGet(0),
+            I::I32Load(MemArg::offset(0)),
+            I::I32Const(5),
+            I::I32GeS,
+        ]);
+        assert_eq!(count(&rf, Rc::BrIfZ), 1, "{:?}", rf.code);
+        assert_eq!(count(&rf, Rc::And32), 1, "{:?}", rf.code);
+    }
+
+    #[test]
+    fn live_write_in_window_blocks_branch_split() {
+        // `(v + 1)` is tee'd into local 1 after the first leaf: branching
+        // past it when v >= w would skip a write the join can see.
+        use crate::instr::Instr as I;
+        let rf = guarded_store(vec![
+            I::LocalGet(0),
+            I::I32Const(1),
+            I::I32Add,
+            I::LocalTee(1),
+            I::I32Const(5),
+            I::I32GeS,
+        ]);
+        assert_eq!(count(&rf, Rc::BrIfZ), 1, "{:?}", rf.code);
+    }
+
+    #[test]
+    fn duplicate_pure_op_reuses_first_result() {
+        // x = (v + 7) * (v + 7): the second add reads the first's result.
+        use crate::instr::Instr as I;
+        let rf = reg_of(
+            |f| {
+                f.emit_all([
+                    I::LocalGet(0),
+                    I::I32Const(7),
+                    I::I32Add,
+                    I::LocalGet(0),
+                    I::I32Const(7),
+                    I::I32Add,
+                    I::I32Mul,
+                    I::LocalSet(1),
+                ]);
+            },
+            Tier::Max,
+        );
+        assert_eq!(count(&rf, Rc::AddK32), 1, "{:?}", rf.code);
+        let mul = rf.code.iter().find(|op| op.code == Rc::Mul32).unwrap();
+        assert_eq!(mul.a, mul.b, "{:?}", rf.code);
     }
 
     #[test]

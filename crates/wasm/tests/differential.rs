@@ -23,6 +23,9 @@ enum E {
     Mul(Box<E>, Box<E>),
     Xor(Box<E>, Box<E>),
     LtS(Box<E>, Box<E>),
+    And(Box<E>, Box<E>),
+    GeS(Box<E>, Box<E>),
+    LtU(Box<E>, Box<E>),
 }
 
 #[derive(Debug, Clone)]
@@ -44,6 +47,9 @@ fn eval_e(e: &E, vars: &[i32; N_VARS]) -> i32 {
         E::Mul(a, b) => eval_e(a, vars).wrapping_mul(eval_e(b, vars)),
         E::Xor(a, b) => eval_e(a, vars) ^ eval_e(b, vars),
         E::LtS(a, b) => (eval_e(a, vars) < eval_e(b, vars)) as i32,
+        E::And(a, b) => eval_e(a, vars) & eval_e(b, vars),
+        E::GeS(a, b) => (eval_e(a, vars) >= eval_e(b, vars)) as i32,
+        E::LtU(a, b) => ((eval_e(a, vars) as u32) < (eval_e(b, vars) as u32)) as i32,
     }
 }
 
@@ -80,6 +86,9 @@ fn e_to_dsl(e: &E, vars: &[Var; N_VARS]) -> dsl::Expr {
         E::Mul(a, b) => e_to_dsl(a, vars) * e_to_dsl(b, vars),
         E::Xor(a, b) => e_to_dsl(a, vars).xor(e_to_dsl(b, vars)),
         E::LtS(a, b) => e_to_dsl(a, vars).lt(e_to_dsl(b, vars)),
+        E::And(a, b) => e_to_dsl(a, vars).and(e_to_dsl(b, vars)),
+        E::GeS(a, b) => e_to_dsl(a, vars).ge(e_to_dsl(b, vars)),
+        E::LtU(a, b) => e_to_dsl(a, vars).lt_u(e_to_dsl(b, vars)),
     }
 }
 
@@ -151,6 +160,9 @@ fn expr_strategy() -> impl Strategy<Value = E> {
             (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Mul(a.into(), b.into())),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Xor(a.into(), b.into())),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| E::LtS(a.into(), b.into())),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::And(a.into(), b.into())),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::GeS(a.into(), b.into())),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::LtU(a.into(), b.into())),
         ]
     })
 }
@@ -641,4 +653,257 @@ fn jit_profiling_counters_track_a_hot_loop() {
     compiled.set_jit_profiling(false);
     inst.invoke("run", &[Value::I32(50)]).unwrap();
     assert_eq!(compiled.jit_snapshot().unwrap().chains_entered, snap.chains_entered);
+}
+
+// --- bounds checks and indexed loads ---
+//
+// The shapes the register peephole folds in a stencil's inner loop:
+// range checks `(v+k ≥ 0) & (v+k < N)` (negative `N` and wrapping `k`
+// included), `And` trees of comparisons guarding an `if`, and indexed
+// loads `load(((v+k) << s) + B)` whose address may wrap or run out of
+// bounds. Every tier must return the reference value or trap at the
+// reference address.
+
+/// An `if` condition: an `And` tree over range checks and expressions.
+#[derive(Debug, Clone)]
+enum C {
+    /// `(v + k ≥s 0) & (w + j <s n)`: a range check when `(v, k) == (w, j)`.
+    Range { v: usize, k: i32, w: usize, j: i32, n: i32 },
+    Expr(E),
+    And(Box<C>, Box<C>),
+}
+
+#[derive(Debug, Clone)]
+enum LS {
+    Assign(usize, E),
+    /// `if cond { dst += load32(((v + k) << shift) + bias) }`.
+    GuardedLoad { cond: C, dst: usize, v: usize, k: i32, shift: u8, bias: i32 },
+    /// `if (a <s b) & ((dst = dst + k) ≥s 0) { dst ^= 1 }`: the condition
+    /// writes a variable, so no leaf may branch past that write.
+    TeeGuard { a: usize, b: usize, dst: usize, k: i32 },
+    Repeat(u8, Vec<LS>),
+}
+
+/// The guest's memory image: one page with a position-dependent pattern,
+/// so a load from a wrong address reads a wrong value.
+fn stencil_memory() -> Vec<u8> {
+    (0..XPAGE).map(|i| (i.wrapping_mul(31) ^ (i >> 8)) as u8).collect()
+}
+
+/// The condition's i32 value (`And` is bitwise, as in the guest).
+fn eval_c(c: &C, vars: &[i32; N_VARS]) -> i32 {
+    match c {
+        C::Range { v, k, w, j, n } => {
+            (vars[*v].wrapping_add(*k) >= 0 && vars[*w].wrapping_add(*j) < *n) as i32
+        }
+        C::Expr(e) => eval_e(e, vars),
+        C::And(a, b) => eval_c(a, vars) & eval_c(b, vars),
+    }
+}
+
+/// Reference run; `Err(addr)` is an out-of-bounds trap at `addr`.
+fn eval_ls(stmts: &[LS], vars: &mut [i32; N_VARS], mem: &[u8]) -> Result<(), u64> {
+    for s in stmts {
+        match s {
+            LS::Assign(i, e) => vars[*i] = eval_e(e, vars),
+            LS::GuardedLoad { cond, dst, v, k, shift, bias } => {
+                if eval_c(cond, vars) != 0 {
+                    let addr =
+                        (vars[*v].wrapping_add(*k) << *shift).wrapping_add(*bias) as u32 as u64;
+                    if addr + 4 > XPAGE as u64 {
+                        return Err(addr);
+                    }
+                    let at = addr as usize;
+                    let x = i32::from_le_bytes(mem[at..at + 4].try_into().unwrap());
+                    vars[*dst] = vars[*dst].wrapping_add(x);
+                }
+            }
+            LS::TeeGuard { a, b, dst, k } => {
+                let first = vars[*a] < vars[*b];
+                vars[*dst] = vars[*dst].wrapping_add(*k);
+                if first && vars[*dst] >= 0 {
+                    vars[*dst] ^= 1;
+                }
+            }
+            LS::Repeat(n, body) => {
+                for _ in 0..*n {
+                    eval_ls(body, vars, mem)?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+fn c_to_dsl(c: &C, vars: &[Var; N_VARS]) -> dsl::Expr {
+    match c {
+        C::Range { v, k, w, j, n } => (vars[*v].get() + dsl::int(*k))
+            .ge(dsl::int(0))
+            .and((vars[*w].get() + dsl::int(*j)).lt(dsl::int(*n))),
+        C::Expr(e) => e_to_dsl(e, vars),
+        C::And(a, b) => c_to_dsl(a, vars).and(c_to_dsl(b, vars)),
+    }
+}
+
+fn ls_to_dsl(
+    stmts: &[LS],
+    vars: &[Var; N_VARS],
+    counters: &mut Vec<Var>,
+    depth: usize,
+    f: &mut wasm_engine::FunctionBuilder,
+) -> Vec<dsl::Stmt> {
+    stmts
+        .iter()
+        .map(|s| match s {
+            LS::Assign(i, e) => vars[*i].set(e_to_dsl(e, vars)),
+            LS::GuardedLoad { cond, dst, v, k, shift, bias } => {
+                let idx = vars[*v].get() + dsl::int(*k);
+                let addr = idx.shl(dsl::int(*shift as i32)) + dsl::int(*bias);
+                dsl::if_then(
+                    c_to_dsl(cond, vars),
+                    &[vars[*dst].set(vars[*dst].get() + addr.load(ValType::I32, 0))],
+                )
+            }
+            LS::TeeGuard { a, b, dst, k } => {
+                let (a, b, dst) = (vars[*a].idx, vars[*b].idx, vars[*dst].idx);
+                dsl::Stmt::Raw(vec![
+                    Instr::LocalGet(a),
+                    Instr::LocalGet(b),
+                    Instr::I32LtS,
+                    Instr::LocalGet(dst),
+                    Instr::I32Const(*k),
+                    Instr::I32Add,
+                    Instr::LocalTee(dst),
+                    Instr::I32Const(0),
+                    Instr::I32GeS,
+                    Instr::I32And,
+                    Instr::If(wasm_engine::types::BlockType::Empty),
+                    Instr::LocalGet(dst),
+                    Instr::I32Const(1),
+                    Instr::I32Xor,
+                    Instr::LocalSet(dst),
+                    Instr::End,
+                ])
+            }
+            LS::Repeat(n, body) => {
+                if counters.len() <= depth {
+                    counters.push(Var::new(f, ValType::I32));
+                }
+                let counter = counters[depth];
+                dsl::for_range(
+                    counter,
+                    dsl::int(0),
+                    dsl::int(*n as i32),
+                    &ls_to_dsl(body, vars, counters, depth + 1, f),
+                )
+            }
+        })
+        .collect()
+}
+
+/// Small offsets plus offsets near the i32 limits, so `v + k` wraps.
+fn offset_strategy() -> impl Strategy<Value = i32> {
+    prop_oneof![-20i32..20, (i32::MAX - 40)..i32::MAX, i32::MIN..(i32::MIN + 40)]
+}
+
+fn cond_strategy() -> impl Strategy<Value = C> {
+    let range = |k: BoxedStrategy<i32>| {
+        (0..N_VARS, k, -10i32..40).prop_map(|(v, k, n)| C::Range { v, k, w: v, j: k, n })
+    };
+    let leaf = prop_oneof![
+        range(offset_strategy().boxed()),
+        range((-20i32..20).boxed()),
+        (0..N_VARS, -20i32..20, 0..N_VARS, -20i32..20, -10i32..40)
+            .prop_map(|(v, k, w, j, n)| C::Range { v, k, w, j, n }),
+        expr_strategy().prop_map(C::Expr),
+    ];
+    leaf.prop_recursive(2, 8, 2, |inner| {
+        (inner.clone(), inner).prop_map(|(a, b)| C::And(a.into(), b.into()))
+    })
+}
+
+fn lstmt_strategy() -> impl Strategy<Value = LS> {
+    let load = (
+        cond_strategy(),
+        0..N_VARS,
+        0..N_VARS,
+        offset_strategy(),
+        0u8..4,
+        prop_oneof![0i32..4096, 65000i32..65600, -64i32..0],
+    )
+        .prop_map(|(cond, dst, v, k, shift, bias)| LS::GuardedLoad {
+            cond,
+            dst,
+            v,
+            k,
+            shift,
+            bias,
+        });
+    let leaf = prop_oneof![
+        (0..N_VARS, expr_strategy()).prop_map(|(i, e)| LS::Assign(i, e)),
+        load.clone(),
+        load,
+        (0..N_VARS, 0..N_VARS, 0..N_VARS, -20i32..20)
+            .prop_map(|(a, b, dst, k)| LS::TeeGuard { a, b, dst, k }),
+    ];
+    leaf.prop_recursive(2, 12, 3, |inner| {
+        (1u8..4, proptest::collection::vec(inner, 1..3)).prop_map(|(n, b)| LS::Repeat(n, b))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn bounds_checked_loads_agree_across_tiers(
+        program in proptest::collection::vec(lstmt_strategy(), 1..6),
+        inits in proptest::array::uniform4(-50i32..50),
+    ) {
+        let mem = stencil_memory();
+        let mut ref_vars = inits;
+        let ref_result = eval_ls(&program, &mut ref_vars, &mem);
+
+        let mut b = ModuleBuilder::new();
+        b.memory(1, Some(1));
+        b.data(0, mem.clone());
+        let prog = program.clone();
+        b.func("run", vec![ValType::I32; N_VARS], vec![ValType::I32], move |f| {
+            let vars = [
+                dsl::local(0, ValType::I32),
+                dsl::local(1, ValType::I32),
+                dsl::local(2, ValType::I32),
+                dsl::local(3, ValType::I32),
+            ];
+            let mut counters = Vec::new();
+            let mut stmts = ls_to_dsl(&prog, &vars, &mut counters, 0, f);
+            stmts.push(dsl::ret(Some(
+                vars[0].get().xor(vars[1].get()).xor(vars[2].get()).xor(vars[3].get()),
+            )));
+            dsl::emit_block(f, &stmts);
+        });
+        let module = b.finish();
+        wasm_engine::validate_module(&module).unwrap();
+        let decoded = wasm_engine::decode_module(&encode_module(&module)).unwrap();
+
+        for tier in Tier::ALL {
+            let compiled = CompiledModule::compile(decoded.clone(), tier).unwrap();
+            compiled.set_jit_threshold(1);
+            let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
+            let args: Vec<Value> = inits.iter().map(|&v| Value::I32(v)).collect();
+            match (&ref_result, inst.invoke("run", &args)) {
+                (Ok(()), Ok(vals)) => {
+                    let expected = ref_vars[0] ^ ref_vars[1] ^ ref_vars[2] ^ ref_vars[3];
+                    prop_assert_eq!(vals[0], Value::I32(expected), "tier {} value", tier);
+                }
+                (Err(addr), Err(Trap::MemoryOutOfBounds { addr: got, .. })) => {
+                    prop_assert_eq!(got, *addr, "tier {} trap address", tier);
+                }
+                (expected, got) => {
+                    return Err(TestCaseError::fail(format!(
+                        "tier {tier}: reference {expected:?} but engine returned {got:?}"
+                    )));
+                }
+            }
+        }
+    }
 }
